@@ -103,7 +103,12 @@ def test_e3_mwu_iteration_count_polylog(benchmark):
         assert iters <= cap
 
 def smoke():
-    """Tiny E3-style run for the bench-smoke tier."""
+    """Tiny E3-style run plus the kernel-vs-networkx λ row, for the
+    bench-smoke tier."""
+    from benchmarks.run_benchmarks import lambda_rows
+
     result = fractional_spanning_tree_packing(harary_graph(4, 12), params=PARAMS, rng=9)
     result.packing.verify()
     assert result.size > 0
+    rows = lambda_rows(("harary:4,12", "hypercube:3", "torus:4,4"), repeats=1)
+    assert [row["lam"] for row in rows] == [4, 3, 4]

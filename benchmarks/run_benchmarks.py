@@ -9,7 +9,10 @@ numbers instead of anecdotes):
   :func:`fractional_spanning_tree_packing` vs the pre-kernel
   implementation (:mod:`repro.core.spanning_packing_reference`), with
   packings asserted identical → ``BENCH_spanning_packing.json``.
-  Acceptance gate: ≥ 5× at n≈500.
+  Acceptance gate: ≥ 5× at n≈500. Its ``lambda`` rows time the kernel
+  ``λ`` (:func:`repro.fastgraph.edge_connectivity`) against the
+  networkx oracle on the graphs of perfbench's ``query`` workload,
+  values asserted equal.
 * ``simulator`` — the indexed round-loop engine vs the preserved
   reference loop (:mod:`repro.simulator.runner_reference`) on flooding
   and shared-MST workloads, outputs asserted identical →
@@ -90,6 +93,51 @@ def _best_of(fn: Callable[[], object], repeats: int) -> tuple:
     return best, result
 
 
+#: The graphs of perfbench's ``query`` cycle, where every spanning
+#: packing a user asks for pays one λ computation.
+QUERY_SPECS = (
+    "torus:12,12",
+    "hypercube:7",
+    "regular:10,160,7",
+    "clique_chain:8,16",
+    "harary:8,200",
+    "harary:12,48",
+)
+
+
+def lambda_rows(specs, repeats: int) -> List[Dict]:
+    """Kernel λ vs the networkx oracle per graph spec, values asserted
+    equal. The kernel runs on a prebuilt index, as its callers hold one."""
+    from repro.api.specs import parse_graph_spec
+    from repro.fastgraph import IndexedGraph, edge_connectivity
+    from repro.graphs.connectivity import edge_connectivity as nx_oracle
+
+    rows: List[Dict] = []
+    for spec in specs:
+        graph = parse_graph_spec(spec)
+        indexed = IndexedGraph.from_networkx(graph)
+        kernel_s, kernel_lam = _best_of(
+            lambda: edge_connectivity(indexed), repeats
+        )
+        networkx_s, networkx_lam = _best_of(lambda: nx_oracle(graph), repeats)
+        if kernel_lam != networkx_lam:
+            raise AssertionError(
+                f"{spec}: kernel λ {kernel_lam} != networkx λ {networkx_lam}"
+            )
+        rows.append(
+            {
+                "graph": spec,
+                "n": indexed.n,
+                "m": indexed.m,
+                "lam": kernel_lam,
+                "networkx_s": round(networkx_s, 6),
+                "kernel_s": round(kernel_s, 6),
+                "speedup": round(networkx_s / kernel_s, 2),
+            }
+        )
+    return rows
+
+
 def run(quick: bool = False, repeats: int = 3, seed: int = 9) -> Dict:
     from repro.core.spanning_packing import (
         MwuParameters,
@@ -145,6 +193,7 @@ def run(quick: bool = False, repeats: int = 3, seed: int = 9) -> Dict:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "results": rows,
+        "lambda": lambda_rows(QUERY_SPECS, repeats),
     }
 
 
@@ -160,6 +209,12 @@ def _run_spanning(args) -> None:
             "kernel={kernel_s:.3f}s speedup={speedup}x size={packing_size:.3f}".format(
                 **row
             )
+        )
+    for row in report["lambda"]:
+        print(
+            "{graph:>16}  n={n:<4} m={m:<5} λ={lam:<3} "
+            "networkx={networkx_s:.4f}s kernel={kernel_s:.4f}s "
+            "speedup={speedup}x".format(**row)
         )
     print(f"wrote {out}")
 

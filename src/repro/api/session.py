@@ -267,6 +267,17 @@ class GraphSession:
                 results.popitem(last=False)
                 self.stats["evictions"] += 1
 
+    def _memo(self, key: Tuple, compute):
+        """A raw value kept in the result cache under ``key`` (computed
+        on a miss), for the graph generation it was computed at."""
+        results = self._fresh_results()
+        if key in results:
+            results.move_to_end(key)
+            return results[key]
+        value = compute()
+        self._store_result(key, value)
+        return value
+
     def _cached(self, key: Tuple, build) -> Result:
         # Envelopes are handed out as copies (raw shared): a caller
         # mutating payload/timings in place must not poison the cache.
@@ -315,17 +326,13 @@ class GraphSession:
         """
         from repro.core.cds_packing import fractional_cds_packing
 
-        key = ("_cds", k, seed, params)
-        results = self._fresh_results()
-        if key not in results:
-            result = fractional_cds_packing(
+        return self._memo(
+            ("_cds", k, seed, params),
+            lambda: fractional_cds_packing(
                 self._graph, k=k, params=params, rng=seed,
                 index=self.cds_index,
-            )
-            self._store_result(key, result)
-        else:
-            results.move_to_end(key)
-        return self._results[key]
+            ),
+        )
 
     def pack_cds(
         self,
@@ -412,30 +419,29 @@ class GraphSession:
 
     def exact_vertex_connectivity(self) -> int:
         """Exact ``k`` via Even–Tarjan (cached; the expensive oracle)."""
-        key = ("_exact_k",)
-        results = self._fresh_results()
-        if key not in results:
-            from repro.baselines.vertex_connectivity_exact import (
-                even_tarjan_vertex_connectivity,
-            )
+        from repro.baselines.vertex_connectivity_exact import (
+            even_tarjan_vertex_connectivity,
+        )
 
-            exact_k, _ = even_tarjan_vertex_connectivity(self._graph)
-            self._store_result(key, exact_k)
-        else:
-            results.move_to_end(key)
-        return self._results[key]
+        return self._memo(
+            ("_exact_k",),
+            lambda: even_tarjan_vertex_connectivity(self._graph)[0],
+        )
 
     def exact_edge_connectivity(self) -> int:
         """Exact ``λ`` via Stoer–Wagner (cached)."""
-        key = ("_exact_lam",)
-        results = self._fresh_results()
-        if key not in results:
-            from repro.baselines.mincut import edge_connectivity_exact
+        from repro.baselines.mincut import edge_connectivity_exact
 
-            self._store_result(key, edge_connectivity_exact(self._graph))
-        else:
-            results.move_to_end(key)
-        return self._results[key]
+        return self._memo(
+            ("_exact_lam",), lambda: edge_connectivity_exact(self._graph)
+        )
+
+    def _edge_connectivity(self) -> int:
+        """``λ`` on the kernel (cached per graph generation): what the
+        spanning packings are sized from when the caller gives no ``lam``."""
+        from repro.fastgraph import edge_connectivity
+
+        return self._memo(("_lam",), lambda: edge_connectivity(self.indexed))
 
     def pack_spanning(
         self,
@@ -451,8 +457,9 @@ class GraphSession:
             )
 
             result = fractional_spanning_tree_packing(
-                self._graph, lam=lam, params=params, rng=seed,
-                indexed=self.indexed,
+                self._graph,
+                lam=self._edge_connectivity() if lam is None else lam,
+                params=params, rng=seed, indexed=self.indexed,
             )
             packing = result.packing
             payload = {
@@ -513,8 +520,10 @@ class GraphSession:
                 )
 
                 packing = integral_spanning_packing(
-                    self._graph, lam=lam, parts_factor=parts_factor,
-                    rng=seed, indexed=self.indexed,
+                    self._graph,
+                    lam=self._edge_connectivity() if lam is None else lam,
+                    parts_factor=parts_factor, rng=seed,
+                    indexed=self.indexed,
                 )
                 payload = {
                     "kind": kind,

@@ -54,6 +54,8 @@ def stoer_wagner_min_cut(
         w = float(data.get(weight_attribute, 1.0))
         if w < 0:
             raise GraphValidationError("edge weights must be non-negative")
+        if u == v:
+            continue  # a self-loop crosses no cut
         weights[u][v] = weights[u].get(v, 0.0) + w
         weights[v][u] = weights[v].get(u, 0.0) + w
     members: Dict[Hashable, Set[Hashable]] = {

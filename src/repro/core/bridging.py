@@ -28,8 +28,16 @@ and the same matching discipline as the linked-list sweep of Appendix C.
 Since the kernel port the sweep runs entirely on the
 :class:`~repro.core.virtual_graph.CdsIndex` view: integer node indices,
 flat adjacency in ``graph.neighbors()`` order, and
-:class:`~repro.fastgraph.IntUnionFind` component representatives. The
-RNG consumption sequence and every candidate-enumeration order are the
+:class:`~repro.fastgraph.IntUnionFind` component representatives. A
+(class, component) pair is the int ``class_id * n + rep``. Classes and
+representatives are fixed for the whole sweep, so each node's component
+keys are listed once up front, and a type-2 node's candidates are the
+first-seen union of its closed neighborhood's lists, built by
+``dict.fromkeys`` in C. Condition (c) is one dict lookup per candidate:
+each type-3 node's suitable components are summarised once (none, the
+one it sees, or "two or more"), and each type-2 node merges its
+neighbors' summaries per class before trying candidates. The RNG
+consumption sequence and every candidate-enumeration order are the
 reference implementation's exactly (node-iteration order = index order,
 class sets with identical insertion histories, closed neighborhoods in
 adjacency order), so assignments are bit-identical to
@@ -40,7 +48,8 @@ equivalence suite pins this.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from itertools import chain
+from typing import Dict, Hashable, List, Optional, Set
 
 import networkx as nx
 
@@ -144,24 +153,41 @@ def assign_layer(
         type1_class[i] = rand.randrange(t)
         type3_class[i] = rand.randrange(t)
 
+    # A (class, component) pair is the int key ``class_id * n + rep``.
     # Deactivation (condition (b)): a component already bridged to another
     # component of its class by some type-1 new node needs no type-2 spend.
-    deactivated: Set[Tuple[int, int]] = set()
+    deactivated: Set[int] = set()
     for i in range(n):
         class_id = type1_class[i]
         reps = _adjacent_reps(adj, mults[class_id], reps_table[class_id], i)
         if len(reps) >= 2:
-            deactivated.update((class_id, rep) for rep in reps)
+            base = class_id * n
+            deactivated.update(base + rep for rep in reps)
 
-    # Suitable components of each type-3 new node (feeds condition (c)).
-    suitable3: List[Set[int]] = [
-        _adjacent_reps(adj, mults[type3_class[i]], reps_table[type3_class[i]], i)
-        for i in range(n)
+    # Suitable components of each type-3 new node (feeds condition (c)),
+    # summarised: None if it sees none, the one component it sees, or -1
+    # if it sees two or more.
+    seen3: List[Optional[int]] = []
+    for i in range(n):
+        class_id = type3_class[i]
+        reps = _adjacent_reps(adj, mults[class_id], reps_table[class_id], i)
+        if not reps:
+            seen3.append(None)
+        elif len(reps) == 1:
+            seen3.append(next(iter(reps)))
+        else:
+            seen3.append(-1)
+
+    # The keys of the components each node is active in, in class-set
+    # order; neither sets nor representatives change during the sweep.
+    wkeys: List[List[int]] = [
+        [c * n + reps_table[c][w] for c in real_classes_at[w]]
+        for w in range(n)
     ]
 
     # Steps 2–3: bridging adjacency + greedy maximal matching over type-2
     # new nodes in random order.
-    matched: Set[Tuple[int, int]] = set()
+    matched: Set[int] = set()
     type2_class: List[int] = [0] * n
     bridging_candidates = 0
     random_type2 = 0
@@ -169,35 +195,37 @@ def assign_layer(
     rand.shuffle(order)
     for i in order:
         neighborhood = [i, *adj[i]]
-        # Candidate (class, component) pairs satisfying condition (a).
-        candidates: List[Tuple[int, int]] = []
-        seen: Set[Tuple[int, int]] = set()
-        for w in neighborhood:
-            for class_id in real_classes_at[w]:
-                key = (class_id, reps_table[class_id][w])
-                if key not in seen:
-                    seen.add(key)
-                    candidates.append(key)
+        # Candidate components satisfying condition (a), first-seen order
+        # over the closed neighborhood.
+        candidates = list(dict.fromkeys(
+            chain.from_iterable(map(wkeys.__getitem__, neighborhood))
+        ))
         rand.shuffle(candidates)
+        # Condition (c) per class: what the type-3 new neighbors of that
+        # class see together — one component, or -1 for two or more. A
+        # candidate is bridged iff they see a component other than its own.
+        witness: Dict[int, int] = {}
+        if require_type3_witness:
+            for u in neighborhood:
+                seen = seen3[u]
+                if seen is not None:
+                    class_id = type3_class[u]
+                    prior = witness.get(class_id)
+                    if prior is None:
+                        witness[class_id] = seen
+                    elif prior != seen:
+                        witness[class_id] = -1
 
         assigned: Optional[int] = None
-        for class_id, rep in candidates:
-            key = (class_id, rep)
+        for key in candidates:
             if use_deactivation and key in deactivated:
                 continue
             if key in matched:
                 continue
-            # Condition (c): a type-3 new neighbor of the same class that
-            # sees a *different* component of that class.
+            class_id, rep = divmod(key, n)
             if require_type3_witness:
-                bridged = False
-                for u in neighborhood:
-                    if type3_class[u] != class_id:
-                        continue
-                    if any(other != rep for other in suitable3[u]):
-                        bridged = True
-                        break
-                if not bridged:
+                seen = witness.get(class_id)
+                if seen is None or seen == rep:
                     continue
             bridging_candidates += 1
             matched.add(key)

@@ -28,7 +28,7 @@ import networkx as nx
 
 from repro.core.tree_packing import SpanningTreePacking, WeightedTree
 from repro.errors import GraphValidationError, PackingConstructionError
-from repro.graphs.connectivity import edge_connectivity
+from repro.fastgraph import IndexedGraph, edge_connectivity
 from repro.graphs.sampling import karger_edge_partition
 from repro.simulator.algorithms.shared_mst import (
     SharedMstResult,
@@ -79,7 +79,7 @@ def distributed_integral_spanning_packing(
         raise GraphValidationError("parts_factor must be positive")
     rand = ensure_rng(rng)
     if lam is None:
-        lam = edge_connectivity(graph)
+        lam = edge_connectivity(IndexedGraph.from_networkx(graph))
     n = graph.number_of_nodes()
     parts = max(1, int(parts_factor * lam / math.log(max(n, 2))))
     subgraphs = karger_edge_partition(graph, parts, rand)

@@ -21,11 +21,13 @@ renormalized (footnote 6 makes the same point for message size).
 
 Implementation: the inner loop runs on the :mod:`repro.fastgraph`
 kernel — the graph is canonicalized once into an
-:class:`~repro.fastgraph.IndexedGraph`, loads/costs live in flat lists
-indexed by edge id, the MST is a Kruskal scan over a persistently
-near-sorted edge order (cost is a monotone transform of load, so the
-order barely moves between iterations), and the per-iteration
-``O(|collection|)`` weight decay is replaced by a lazy per-tree replay.
+:class:`~repro.fastgraph.IndexedGraph`, ``λ`` comes from the kernel's
+flow computation on that index, loads/costs live in flat lists indexed
+by edge id (one pass per iteration computes every cost), the MST is a
+Kruskal scan over a persistently near-sorted edge order (cost is a
+monotone transform of load, so the order barely moves between
+iterations), and the per-iteration ``O(|collection|)`` weight decay is
+replaced by a lazy per-tree replay.
 The replay applies, per tree, exactly the multiplication sequence the
 eager loop would have, so results are bit-identical to the preserved
 pre-kernel implementation
@@ -58,9 +60,9 @@ from repro.fastgraph import (
     IndexedGraph,
     IntUnionFind,
     NearSortedEdgeOrder,
+    edge_connectivity,
     kruskal_from_order,
 )
-from repro.graphs.connectivity import edge_connectivity
 from repro.graphs.sampling import choose_karger_parts, karger_edge_index_partition
 from repro.utils.mathutil import ceil_div
 from repro.utils.rng import RngLike, ensure_rng
@@ -171,20 +173,15 @@ def _mwu_indexed(
     cap = params.iteration_cap(n)
     for _ in range(cap):
         trace.iterations += 1
-        z = [x * target for x in loads]
-        z_max = max(z)
+        # Rounding is monotone, so this is exactly max(x * target).
+        z_max = max(loads) * target
         trace.max_relative_load.append(z_max / target)
         if trace.iterations > 1 and z_max <= 1.0 + epsilon:
             # Already at the Lemma F.2 guarantee: every edge's relative
             # load is within 1+ε — nothing left to improve.
             trace.stopped_early = True
             break
-        # Loads repeat across edges (same MST-membership history ⇒ same
-        # load), so exp runs once per distinct z value, not per edge.
-        cost_of = dict.fromkeys(z)
-        for zp in cost_of:
-            cost_of[zp] = exp(alpha * (zp - z_max))
-        costs = [cost_of[zp] for zp in z]
+        costs = [exp(alpha * (x * target - z_max)) for x in loads]
 
         # Near-sorted persistent order: only the previous MST's edges
         # moved, so this sort is adaptive. (cost, index) reproduces the
@@ -252,12 +249,11 @@ def mwu_spanning_packing(
     if not nx.is_connected(graph):
         raise GraphValidationError("MWU packing requires a connected graph")
     params = params or MwuParameters()
-    n = graph.number_of_nodes()
+    indexed = IndexedGraph.from_networkx(graph)
     if lam is None:
-        lam = edge_connectivity(graph)
+        lam = edge_connectivity(indexed)
     target = max(1, ceil_div(max(0, lam - 1), 2))
 
-    indexed = IndexedGraph.from_networkx(graph)
     raw, trace = _mwu_indexed(indexed, range(indexed.m), target, params)
     normalized = [
         (indexed.edges_to_node_sets(key), weight) for key, weight in raw
@@ -289,10 +285,10 @@ def fractional_spanning_tree_packing(
     and parts are edge-disjoint, so the union is a valid packing with size
     the sum of the parts' sizes — at least ``λ(1−ε)/2`` up to sampling loss.
 
-    The connectivity oracle runs **once**, on ``graph`` (and only when
-    ``lam`` is not supplied): each part's connectivity is ``λ/η`` up to
-    ``1 ± ε`` by Karger's theorem, so parts are sized with
-    ``max(1, λ // η)`` instead of re-running the oracle per part.
+    ``λ`` is computed **once**, on ``indexed`` by the kernel (and only
+    when ``lam`` is not supplied): each part's connectivity is ``λ/η`` up
+    to ``1 ± ε`` by Karger's theorem, so parts are sized with
+    ``max(1, λ // η)`` instead of recomputing it per part.
 
     ``indexed`` shares a prebuilt canonicalization (e.g. a
     :class:`repro.api.GraphSession`'s); the RNG stream is unaffected, so
@@ -305,11 +301,11 @@ def fractional_spanning_tree_packing(
     params = params or MwuParameters()
     rand = ensure_rng(rng)
     n = graph.number_of_nodes()
-    if lam is None:
-        lam = edge_connectivity(graph)
-
     if indexed is None:
         indexed = IndexedGraph.from_networkx(graph)
+    if lam is None:
+        lam = edge_connectivity(indexed)
+
     eta = choose_karger_parts(lam, n, params.epsilon)
     if eta <= 1:
         part_edge_lists: List[List[int]] = [list(range(indexed.m))]

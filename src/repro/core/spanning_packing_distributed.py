@@ -37,7 +37,7 @@ from repro.core.spanning_packing import (
     _edges_to_tree,
 )
 from repro.core.tree_packing import SpanningTreePacking, WeightedTree
-from repro.graphs.connectivity import edge_connectivity
+from repro.fastgraph import IndexedGraph, edge_connectivity
 from repro.graphs.sampling import choose_karger_parts, karger_edge_partition
 from repro.simulator.algorithms.bfs import build_bfs_tree
 from repro.simulator.algorithms.boruvka import distributed_mst
@@ -186,7 +186,7 @@ def distributed_spanning_packing(
     rand = ensure_rng(rng)
     n = graph.number_of_nodes()
     if lam is None:
-        lam = edge_connectivity(graph)
+        lam = edge_connectivity(IndexedGraph.from_networkx(graph))
     eta = choose_karger_parts(lam, n, params.epsilon)
     parts = (
         [graph] if eta <= 1 else karger_edge_partition(graph, eta, rand)

@@ -22,7 +22,10 @@ scan:
   edge *order*, plus :class:`~repro.fastgraph.kruskal.NearSortedEdgeOrder`
   which keeps the MWU's cost-sorted order alive across iterations
   (costs are a monotone transform of the slowly-changing loads, so each
-  re-sort is adaptive instead of from-scratch).
+  re-sort is adaptive instead of from-scratch);
+* :func:`~repro.fastgraph.connectivity.edge_connectivity` — exact
+  ``λ`` by unit-capacity flows over the edge array, which sizes the
+  spanning packings without a :mod:`networkx` flow network.
 
 Trees and edge subsets are plain ``list``/``frozenset`` of edge
 indices; :meth:`IndexedGraph.tree_graph` rebuilds a labeled
@@ -32,9 +35,11 @@ indices; :meth:`IndexedGraph.tree_graph` rebuilds a labeled
 from repro.fastgraph.indexed import IndexedGraph
 from repro.fastgraph.union_find import IntUnionFind
 from repro.fastgraph.kruskal import NearSortedEdgeOrder, kruskal_from_order
+from repro.fastgraph.connectivity import edge_connectivity
 
 __all__ = [
     "IndexedGraph",
+    "edge_connectivity",
     "IntUnionFind",
     "NearSortedEdgeOrder",
     "kruskal_from_order",

@@ -5,8 +5,14 @@ exact vertex/edge connectivity (via max-flow, through networkx), minimum
 vertex cuts, the disjoint path systems promised by Menger's theorem
 ([10, Chapter 9] in the paper), and domination/CDS predicates (Section 2).
 
-The decomposition algorithms themselves never need these oracles (that is
-the point of the paper); the test suite and benchmark harness use them to
+The decompositions do not need the κ/λ oracles (that is the point of
+the paper). The spanning packings, which are sized from ``λ``, take it
+from the indexed kernel (:func:`repro.fastgraph.edge_connectivity`);
+the one remaining caller on a construction path is
+:func:`repro.core.integral_packing.integral_cds_packing`, which reads
+exact ``κ`` as a scale hint when no ``k`` is given. The domination/CDS
+predicates validate packing outputs. The test suite, the preserved
+reference implementations and the analysis reports use the oracles to
 measure achieved packing sizes against true connectivity.
 """
 

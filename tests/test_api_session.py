@@ -121,6 +121,26 @@ class TestConstructionHappensOnce:
         session.simulate(program="flood-min", seed=1)
         assert counters["indexed"] == 1
 
+    def test_lambda_computed_once_per_generation(self, monkeypatch):
+        import repro.fastgraph
+
+        calls = []
+        original = repro.fastgraph.edge_connectivity
+
+        def counting(indexed):
+            calls.append(indexed)
+            return original(indexed)
+
+        monkeypatch.setattr(repro.fastgraph, "edge_connectivity", counting)
+        session = GraphSession(SPEC)
+        spanning = session.pack_spanning(seed=5)
+        session.pack_spanning(seed=6)
+        session.pack_integral(kind="spanning", seed=5)
+        session.broadcast(messages=4, seed=7, transport="edge")
+        assert calls == [session.indexed]
+        assert spanning.params["lam"] is None
+        assert spanning.payload["lam"] == original(session.indexed)
+
     def test_per_call_path_recanonicalizes(self, counters):
         # The contrast case: three free-function calls, three
         # canonicalizations (what the session exists to avoid).

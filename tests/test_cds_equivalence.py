@@ -19,15 +19,20 @@ from repro.core.cds_packing import (
     construct_cds_packing,
     fractional_cds_packing,
 )
+from repro.core.bridging import run_recursion
 from repro.core.cds_packing_reference import (
+    ReferenceVirtualGraph,
     construct_cds_packing_reference,
     fractional_cds_packing_reference,
+    run_recursion_reference,
 )
+from repro.core.virtual_graph import VirtualGraph
 from repro.graphs.generators import (
     clique_chain,
     fat_cycle,
     gnp_connected,
     harary_graph,
+    hypercube,
     random_k_connected,
     random_regular_connected,
 )
@@ -120,3 +125,44 @@ class TestGuessLoopEquivalence:
         reference = fractional_cds_packing_reference(graph, rng=seed)
         assert _canonical(kernel) == _canonical(reference)
         assert kernel.k_guess == reference.k_guess
+
+
+class TestAblationEquivalence:
+    """Both ablation flags of ``assign_layer`` stay pinned too: every
+    layer's statistics and the full assignment, per flag combination."""
+
+    @pytest.mark.parametrize("use_deactivation", [True, False])
+    @pytest.mark.parametrize("require_type3_witness", [True, False])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_flag_combinations_identical(
+        self, use_deactivation, require_type3_witness, seed
+    ):
+        graph = harary_graph(6, 40)
+        flags = dict(
+            use_deactivation=use_deactivation,
+            require_type3_witness=require_type3_witness,
+        )
+        kernel_vg = VirtualGraph(graph, layers=8, n_classes=24)
+        kernel_history = run_recursion(kernel_vg, rng=seed, **flags)
+        reference_vg = ReferenceVirtualGraph(graph, layers=8, n_classes=24)
+        reference_history = run_recursion_reference(
+            reference_vg, rng=seed, **flags
+        )
+        assert kernel_history == reference_history
+        assert kernel_vg.assignment == reference_vg.assignment
+
+
+class TestBenchmarkScaleEquivalence:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_hypercube7_guess_ladder_identical(self, seed):
+        """hypercube(7) with k unknown: ~40 candidate components per
+        node in every layer's sweep."""
+        graph = hypercube(7)
+        kernel = fractional_cds_packing(graph, rng=seed)
+        reference = fractional_cds_packing_reference(graph, rng=seed)
+        assert _canonical(kernel) == _canonical(reference)
+        assert kernel.k_guess == reference.k_guess
+        assert (
+            kernel.virtual_graph.assignment
+            == reference.virtual_graph.assignment
+        )

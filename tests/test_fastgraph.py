@@ -239,6 +239,20 @@ class TestMwuBitIdentity:
             assert [key for key, _ in new] == [key for key, _ in ref]
             assert [w for _, w in new] == [w for _, w in ref]
 
+    def test_iteration_cap_bit_identical(self):
+        """Default parameters on harary(12,48) never meet the stopping
+        rule: every one of the capped iterations is pinned."""
+        graph = harary_graph(12, 48)
+        new, new_trace, new_target = mwu_spanning_packing(graph)
+        ref, ref_trace, ref_target = mwu_spanning_packing_reference(graph)
+        assert not new_trace.stopped_early
+        assert new_trace.iterations == MwuParameters().iteration_cap(48)
+        assert new_target == ref_target
+        assert new_trace.iterations == ref_trace.iterations
+        assert new_trace.stopped_early == ref_trace.stopped_early
+        assert new_trace.max_relative_load == ref_trace.max_relative_load
+        assert new == ref
+
     @pytest.mark.parametrize("rng", [9, 61, 2024])
     def test_fractional_packing_bit_identical(self, rng):
         graph = harary_graph(6, 26)

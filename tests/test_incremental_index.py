@@ -239,3 +239,23 @@ def test_session_cache_limit_validation():
     with pytest.raises(GraphValidationError):
         GraphSession("harary:4,12", cache_limit=0)
     GraphSession("harary:4,12", cache_limit=None)  # unbounded is allowed
+
+
+def test_session_lambda_follows_edits():
+    """The session's cached λ belongs to one graph generation: after
+    each edit it equals a fresh session's, and so do the spanning
+    packings sized from it."""
+    session = GraphSession("harary:4,12")
+    assert session.pack_spanning(seed=0).payload["lam"] == 4
+    for op, a, b in (("rmv", 0, 1), ("new", 0, 6), ("rmv", 3, 4)):
+        if op == "new":
+            session.add_edge(a, b)
+        else:
+            session.remove_edge(a, b)
+        fresh = GraphSession(session.graph.copy(), label=session.label)
+        assert session._edge_connectivity() == fresh._edge_connectivity()
+        assert (
+            session.pack_spanning(seed=0).canonical_json()
+            == fresh.pack_spanning(seed=0).canonical_json()
+        )
+    assert session.pack_spanning(seed=0).payload["lam"] == 3
