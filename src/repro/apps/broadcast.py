@@ -29,9 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import Dict, FrozenSet, Hashable, Optional, Sequence, Set, Tuple
 
 from repro.errors import GraphValidationError
 from repro.core.tree_packing import (
@@ -115,10 +113,14 @@ def vertex_broadcast(
     # message ids are re-keyed to 0..N-1 in iteration order of `sources`.
     messages = list(sources.items())
 
-    tree_nodes: List[Set[Hashable]] = [set(t.tree.nodes()) for t in trees]
-    tree_adj: List[Dict[Hashable, Set[Hashable]]] = [
-        {v: set(t.tree.neighbors(v)) for v in t.tree.nodes()} for t in trees
-    ]
+    # Node sets and adjacency only for the trees carrying a message.
+    used = set(assignment.values())
+    tree_nodes: Dict[int, Set[Hashable]] = {
+        i: set(trees[i].node_labels()) for i in used
+    }
+    tree_adj: Dict[int, Dict[Hashable, Set[Hashable]]] = {
+        i: trees[i].adjacency() for i in used
+    }
 
     received: Dict[Hashable, Set[int]] = {v: set() for v in graph.nodes()}
     queues: Dict[Hashable, deque] = {v: deque() for v in graph.nodes()}
@@ -203,9 +205,9 @@ def edge_broadcast(
     trees = packing.trees
     assignment = assign_messages_to_trees(trees, len(sources), rand)
     messages = list(sources.items())
-    tree_adj: List[Dict[Hashable, Set[Hashable]]] = [
-        {v: set(t.tree.neighbors(v)) for v in t.tree.nodes()} for t in trees
-    ]
+    tree_adj: Dict[int, Dict[Hashable, Set[Hashable]]] = {
+        i: trees[i].adjacency() for i in set(assignment.values())
+    }
 
     received: Dict[Hashable, Set[int]] = {v: set() for v in graph.nodes()}
     # pending[v] = deque of (tree, msg, next-neighbors-to-serve)

@@ -121,7 +121,7 @@ def _cmd_pack_cds(args: argparse.Namespace) -> int:
         for index, wt in enumerate(packing.trees):
             print(
                 f"  tree {index:>3}  class={wt.class_id:<4} "
-                f"weight={wt.weight:.3f}  nodes={wt.tree.number_of_nodes()}"
+                f"weight={wt.weight:.3f}  nodes={wt.n_nodes}"
             )
     packing.verify()
     print("verification: OK (domination, trees, loads)")

@@ -35,8 +35,10 @@ loop's repeated constructions); the recursion maintains per-class
 connectivity — is decided on flat index arrays (connectivity is a single
 component-count read off the union-find, domination one adjacency scan);
 and the per-class BFS dominating trees are extracted index-side,
-replicating ``nx.bfs_tree``'s traversal order, before becoming
-:class:`networkx.Graph` objects at the API boundary. Results are
+replicating ``nx.bfs_tree``'s traversal order, and kept as compact
+:class:`~repro.core.tree_packing.WeightedTree`\\ s (member and
+endpoint-pair arrays; the :class:`networkx.Graph` is built on first
+``.tree`` access). Results are
 bit-identical to the preserved pre-kernel implementation
 (:mod:`repro.core.cds_packing_reference`) under fixed seeds —
 ``tests/test_cds_equivalence.py`` enforces this and
@@ -45,6 +47,7 @@ bit-identical to the preserved pre-kernel implementation
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -159,8 +162,9 @@ def _valid_class_ids(graph: nx.Graph, vg: VirtualGraph) -> List[int]:
 
 def _bfs_tree_indices(
     adj: List[List[int]], member: bytearray, root: int, n_members: int
-) -> List[Tuple[int, int]]:
-    """BFS tree edges over the members, in nx traversal order.
+) -> "array[int]":
+    """BFS tree edges over the members, in nx traversal order, as a flat
+    endpoint-pair array.
 
     Visits neighbors in adjacency order from ``root`` — exactly the
     traversal ``nx.bfs_tree(graph.subgraph(members), root)`` performs —
@@ -170,35 +174,20 @@ def _bfs_tree_indices(
     visited = bytearray(len(member))
     visited[root] = 1
     queue = deque([root])
-    edges: List[Tuple[int, int]] = []
+    pairs = array("i")
     while queue:
         a = queue.popleft()
         for b in adj[a]:
             if member[b] and not visited[b]:
                 visited[b] = 1
-                edges.append((a, b))
+                pairs.append(a)
+                pairs.append(b)
                 queue.append(b)
-    if len(edges) != n_members - 1:
+    if len(pairs) != 2 * (n_members - 1):
         raise PackingValidationError(
             "node set does not induce a connected graph"
         )
-    return edges
-
-
-def _members_tree_graph(
-    index: CdsIndex, members: Sequence[int], edges: List[Tuple[int, int]]
-) -> nx.Graph:
-    """A labeled tree graph on exactly ``members`` (ascending index order
-    = graph node order, the order the reference's subgraph view reports).
-
-    Materialization runs once per *valid class*, not in the per-layer
-    sweep, so the supported networkx API is fast enough here.
-    """
-    tree = nx.Graph()
-    nodes = index.nodes
-    tree.add_nodes_from(nodes[i] for i in members)
-    tree.add_edges_from((nodes[a], nodes[b]) for a, b in edges)
-    return tree
+    return pairs
 
 
 def _packing_from_classes(
@@ -224,8 +213,8 @@ def _packing_from_classes(
     index = vg.index
     adj = index.adj
     n = index.n
-    class_members: Dict[int, List[int]] = {
-        class_id: sorted(vg.classes[class_id].multiplicity_by_index)
+    class_members: Dict[int, "array[int]"] = {
+        class_id: array("i", sorted(vg.classes[class_id].multiplicity_by_index))
         for class_id in class_ids
     }
     load = [0] * n
@@ -238,7 +227,7 @@ def _packing_from_classes(
     for class_id, members in class_members.items():
         for i in members:
             member[i] = 1
-        edges = _bfs_tree_indices(adj, member, members[0], len(members))
+        pairs = _bfs_tree_indices(adj, member, members[0], len(members))
         for i in members:
             member[i] = 0
         class_max_load = max(load[i] for i in members)
@@ -246,10 +235,8 @@ def _packing_from_classes(
         for i in members:
             vertex_load[i] += weight
         weighted.append(
-            WeightedTree(
-                tree=_members_tree_graph(index, members, edges),
-                weight=weight,
-                class_id=class_id,
+            WeightedTree.from_indices(
+                index.nodes, pairs, weight, class_id, members=members
             )
         )
     max_load = max(vertex_load, default=0.0)

@@ -243,12 +243,9 @@ def integral_spanning_packing(
     uf = IntUnionFind(indexed.n)
     for index, bucket in enumerate(buckets):
         if bucket and indexed.is_connected_via(bucket, uf):
+            pairs = indexed.endpoint_pairs(indexed.bfs_tree_edges(bucket))
             trees.append(
-                WeightedTree(
-                    tree=indexed.tree_graph(indexed.bfs_tree_edges(bucket)),
-                    weight=1.0,
-                    class_id=index,
-                )
+                WeightedTree.from_indices(indexed.nodes, pairs, 1.0, index)
             )
     if not trees:
         raise PackingConstructionError(

@@ -33,8 +33,10 @@ eager loop would have, so results are bit-identical to the preserved
 pre-kernel implementation
 (:mod:`repro.core.spanning_packing_reference`) under fixed seeds —
 ``tests/test_fastgraph.py`` enforces this. Trees are ``frozenset``\\ s
-of edge indices internally and become :class:`networkx.Graph` trees
-only at the API boundary.
+of edge indices internally and leave as compact
+:class:`~repro.core.tree_packing.WeightedTree`\\ s (flat endpoint-pair
+arrays; the :class:`networkx.Graph` is built on first ``.tree``
+access).
 """
 
 from __future__ import annotations
@@ -351,10 +353,9 @@ def fractional_spanning_tree_packing(
             for i in tree_key:
                 edge_load[i] += weight
             trees.append(
-                WeightedTree(
-                    tree=indexed.tree_graph(tree_key),
-                    weight=weight,
-                    class_id=class_id,
+                WeightedTree.from_indices(
+                    indexed.nodes, indexed.endpoint_pairs(tree_key), weight,
+                    class_id,
                 )
             )
             class_id += 1

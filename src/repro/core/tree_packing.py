@@ -6,12 +6,19 @@ dominating trees so that every vertex carries total weight at most 1; its
 spanning trees and per-edge capacity. These containers hold the trees,
 compute sizes/loads, and :meth:`verify` every defining constraint, raising
 :class:`~repro.errors.PackingValidationError` on the first violation.
+
+Trees are kept index-side (:class:`WeightedTree`): a label list shared
+by the packing, a member-index array and a flat endpoint-pair array, so
+a result held in a cache is a few flat arrays per tree rather than a
+graph of dicts. Sizes, loads and disjointness read the arrays; only
+:meth:`~DominatingTreePacking.verify`, :meth:`WeightedTree.diameter` and
+readers of :attr:`WeightedTree.tree` build a :class:`networkx.Graph`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
+from array import array
+from typing import Dict, FrozenSet, Hashable, Iterator, List, Optional, Set, Tuple
 
 import networkx as nx
 
@@ -21,32 +28,139 @@ from repro.graphs.connectivity import is_dominating_tree, is_spanning_tree
 _TOLERANCE = 1e-9
 
 
-@dataclass
 class WeightedTree:
-    """One tree of a packing: the tree, its weight, and its class id."""
+    """One tree of a packing: its weight, its class id and the tree.
 
-    tree: nx.Graph
-    weight: float
-    class_id: int
+    Stored index-side: ``labels`` is a node-label list, shared by every
+    tree of a packing built on one index (the
+    :class:`~repro.core.virtual_graph.CdsIndex` /
+    :class:`~repro.fastgraph.IndexedGraph` list); ``members`` the
+    ascending indices of the tree's nodes, or ``None`` for every label
+    the list held when the tree was made (a spanning tree; a session edit
+    may append labels later); ``pairs`` a flat ``array('i')`` of
+    endpoint indices, edge ``e`` joining ``pairs[2e]`` and
+    ``pairs[2e+1]``, in insertion order. A cached result therefore holds
+    a few flat arrays per tree, not a graph of dicts.
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.weight <= 1.0 + _TOLERANCE:
-            raise PackingValidationError(
-                f"tree weight {self.weight} outside [0, 1]"
-            )
+    :attr:`tree` builds the :class:`networkx.Graph` on first access —
+    members in order, then edges in order — and keeps it.
+    ``WeightedTree(tree, weight, class_id)`` converts a given graph to
+    the same form and keeps that graph as the cache.
+    """
+
+    __slots__ = (
+        "weight", "class_id", "_labels", "_members", "_n_nodes", "_pairs",
+        "_tree",
+    )
+
+    def __init__(self, tree: nx.Graph, weight: float, class_id: int) -> None:
+        labels = list(tree.nodes())
+        index_of = {v: i for i, v in enumerate(labels)}
+        pairs = array("i")
+        for a, b in tree.edges():
+            pairs.append(index_of[a])
+            pairs.append(index_of[b])
+        self._set(labels, None, len(labels), pairs, weight, class_id)
+        self._tree: Optional[nx.Graph] = tree
+
+    @classmethod
+    def from_indices(
+        cls,
+        labels: List[Hashable],
+        pairs: "array[int]",
+        weight: float,
+        class_id: int,
+        members: Optional["array[int]"] = None,
+    ) -> "WeightedTree":
+        """A tree on ``labels[members]`` (default: every label ``labels``
+        holds now) with edges ``pairs``."""
+        wt = cls.__new__(cls)
+        wt._set(labels, members, len(labels), pairs, weight, class_id)
+        wt._tree = None
+        return wt
+
+    def _set(self, labels, members, n_nodes, pairs, weight, class_id) -> None:
+        if not 0.0 <= weight <= 1.0 + _TOLERANCE:
+            raise PackingValidationError(f"tree weight {weight} outside [0, 1]")
+        self._labels = labels
+        self._members = members
+        self._n_nodes = n_nodes
+        self._pairs = pairs
+        self.weight = weight
+        self.class_id = class_id
+
+    def __repr__(self) -> str:
+        return (
+            f"WeightedTree(class_id={self.class_id}, weight={self.weight!r}, "
+            f"nodes={self.n_nodes}, edges={len(self._pairs) // 2})"
+        )
+
+    # -- compact views (no graph is built) ------------------------------
+
+    @property
+    def n_nodes(self) -> int:
+        members = self._members
+        return self._n_nodes if members is None else len(members)
+
+    def node_labels(self) -> Iterator[Hashable]:
+        """The tree's nodes, in the order :attr:`tree` inserts them."""
+        labels = self._labels
+        if self._members is None:
+            return iter(labels[: self._n_nodes])
+        return map(labels.__getitem__, self._members)
+
+    def edge_labels(self) -> Iterator[Tuple[Hashable, Hashable]]:
+        """The tree's edges as label pairs, in insertion order."""
+        labels = self._labels
+        ends = map(labels.__getitem__, self._pairs)
+        return zip(ends, ends)
+
+    def adjacency(self) -> Dict[Hashable, Set[Hashable]]:
+        """Node → neighbor set; each set is filled in :attr:`tree`'s
+        adjacency order, so iterating it matches iterating the set built
+        from ``tree.neighbors(v)``."""
+        tree = self._tree
+        if tree is not None:
+            return {v: set(tree.neighbors(v)) for v in tree.nodes()}
+        neighbors: Dict[Hashable, List[Hashable]] = {
+            v: [] for v in self.node_labels()
+        }
+        for a, b in self.edge_labels():
+            neighbors[a].append(b)
+            neighbors[b].append(a)
+        return {v: set(nbrs) for v, nbrs in neighbors.items()}
 
     @property
     def nodes(self) -> FrozenSet[Hashable]:
-        return frozenset(self.tree.nodes())
+        return frozenset(self.node_labels())
 
     @property
     def edges(self) -> FrozenSet[FrozenSet[Hashable]]:
-        return frozenset(frozenset(e) for e in self.tree.edges())
+        return frozenset(map(frozenset, self.edge_labels()))
+
+    # -- the networkx graph ----------------------------------------------
+
+    @property
+    def tree(self) -> nx.Graph:
+        """The tree as a :class:`networkx.Graph` (built once, then kept)."""
+        if self._tree is None:
+            self._tree = self._build_graph()
+        return self._tree
+
+    def _graph(self) -> nx.Graph:
+        """The cached graph, or a fresh one that is not kept."""
+        return self._tree if self._tree is not None else self._build_graph()
+
+    def _build_graph(self) -> nx.Graph:
+        tree = nx.Graph()
+        tree.add_nodes_from(self.node_labels())
+        tree.add_edges_from(self.edge_labels())
+        return tree
 
     def diameter(self) -> int:
-        if self.tree.number_of_nodes() <= 1:
+        if self.n_nodes <= 1:
             return 0
-        return nx.diameter(self.tree)
+        return nx.diameter(self._graph())
 
 
 class _BasePacking:
@@ -86,15 +200,16 @@ class DominatingTreePacking(_BasePacking):
         """Total tree weight carried by each vertex."""
         loads: Dict[Hashable, float] = {v: 0.0 for v in self.graph.nodes()}
         for wt in self.trees:
-            for v in wt.tree.nodes():
-                loads[v] += wt.weight
+            weight = wt.weight
+            for v in wt.node_labels():
+                loads[v] += weight
         return loads
 
     def trees_per_node(self) -> Dict[Hashable, int]:
         """How many trees contain each vertex (Theorem 1.1: O(log n))."""
         counts: Dict[Hashable, int] = {v: 0 for v in self.graph.nodes()}
         for wt in self.trees:
-            for v in wt.tree.nodes():
+            for v in wt.node_labels():
                 counts[v] += 1
         return counts
 
@@ -105,7 +220,7 @@ class DominatingTreePacking(_BasePacking):
     def verify(self) -> None:
         """Raise :class:`PackingValidationError` unless all constraints hold."""
         for index, wt in enumerate(self.trees):
-            if not is_dominating_tree(self.graph, wt.tree):
+            if not is_dominating_tree(self.graph, wt._graph()):
                 raise PackingValidationError(
                     f"tree #{index} (class {wt.class_id}) is not a "
                     "dominating tree of the graph"
@@ -120,7 +235,7 @@ class DominatingTreePacking(_BasePacking):
         """Whether the trees are pairwise vertex-disjoint (integral packing)."""
         seen: set = set()
         for wt in self.trees:
-            nodes = set(wt.tree.nodes())
+            nodes = set(wt.node_labels())
             if seen & nodes:
                 return False
             seen |= nodes
@@ -142,8 +257,9 @@ class SpanningTreePacking(_BasePacking):
             frozenset(e): 0.0 for e in self.graph.edges()
         }
         for wt in self.trees:
-            for e in wt.tree.edges():
-                loads[frozenset(e)] += wt.weight
+            weight = wt.weight
+            for e in wt.edge_labels():
+                loads[frozenset(e)] += weight
         return loads
 
     def trees_per_edge(self) -> Dict[FrozenSet[Hashable], int]:
@@ -152,7 +268,7 @@ class SpanningTreePacking(_BasePacking):
             frozenset(e): 0 for e in self.graph.edges()
         }
         for wt in self.trees:
-            for e in wt.tree.edges():
+            for e in wt.edge_labels():
                 counts[frozenset(e)] += 1
         return counts
 
@@ -163,7 +279,7 @@ class SpanningTreePacking(_BasePacking):
     def verify(self) -> None:
         """Raise :class:`PackingValidationError` unless all constraints hold."""
         for index, wt in enumerate(self.trees):
-            if not is_spanning_tree(self.graph, wt.tree):
+            if not is_spanning_tree(self.graph, wt._graph()):
                 raise PackingValidationError(
                     f"tree #{index} (class {wt.class_id}) is not a spanning "
                     "tree of the graph"
@@ -178,7 +294,7 @@ class SpanningTreePacking(_BasePacking):
         """Whether the trees are pairwise edge-disjoint (integral packing)."""
         seen: set = set()
         for wt in self.trees:
-            edges = {frozenset(e) for e in wt.tree.edges()}
+            edges = set(map(frozenset, wt.edge_labels()))
             if seen & edges:
                 return False
             seen |= edges

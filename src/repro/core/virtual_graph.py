@@ -27,6 +27,12 @@ API (``active_reals``, ``component_of``, ``real_classes``) survives at
 the boundary; hot paths (:mod:`repro.core.bridging`,
 :mod:`repro.core.cds_packing`) use the index view.
 
+The per-virtual-node assignment is one flat ``array('i')`` of ``3·L·n``
+class ids (−1 while unassigned), not a dict of :class:`VirtualNode`
+keys: a result cached by a long-lived session then costs the cyclic
+collector nothing per virtual node. :attr:`VirtualGraph.assignment`
+is a read-only ``Mapping[VirtualNode, int]`` view of it.
+
 The pre-kernel :class:`ClassState` is kept verbatim below: it is the
 building block of the preserved reference implementation and remains a
 supported standalone container.
@@ -34,8 +40,11 @@ supported standalone container.
 
 from __future__ import annotations
 
+import operator
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, NamedTuple, Optional, Set
+from typing import Dict, Hashable, Iterator, List, NamedTuple, Optional, Set
 
 import networkx as nx
 
@@ -218,8 +227,52 @@ class IndexedClassState:
         return sum(self.multiplicity_by_index.values())
 
 
+class VirtualAssignment(Mapping):
+    """Read-only ``VirtualNode → class id`` view of a :class:`VirtualGraph`.
+
+    Backed by the graph's flat record, so it holds no per-virtual-node
+    object; keys are built on demand. Iteration visits assigned virtual
+    nodes layer by layer, then node by node, then type by type — the
+    order the recursion assigns them in.
+    """
+
+    __slots__ = ("_vg",)
+
+    def __init__(self, vg: "VirtualGraph") -> None:
+        self._vg = vg
+
+    def __getitem__(self, vnode: VirtualNode) -> int:
+        class_id = self._vg.class_of(vnode)
+        if class_id is None:
+            raise KeyError(vnode)
+        return class_id
+
+    def __contains__(self, vnode: object) -> bool:
+        return self._vg.class_of(vnode) is not None
+
+    def __len__(self) -> int:
+        return self._vg._assigned
+
+    def __iter__(self) -> Iterator[VirtualNode]:
+        vg = self._vg
+        record = vg._record
+        nodes = vg.index.nodes
+        n = vg._n
+        for layer in range(1, vg.layers + 1):
+            base = (layer - 1) * 3 * n
+            for i in range(n):
+                for vtype in (1, 2, 3):
+                    if record[base + (vtype - 1) * n + i] >= 0:
+                        yield VirtualNode(nodes[i], layer, vtype)
+
+
 class VirtualGraph:
     """Assignment record for all virtual nodes plus per-class projections.
+
+    The record is one flat ``array('i')`` of ``3·L·n`` class ids (−1:
+    unassigned); virtual node ``(i, layer, vtype)`` lives at
+    ``((layer−1)·3 + vtype−1)·n + i``. :attr:`assignment` is a read-only
+    mapping view of it.
 
     ``index`` lets callers share one :class:`CdsIndex` canonicalization
     across repeated constructions (the Remark 3.1 guess loop builds a
@@ -241,7 +294,9 @@ class VirtualGraph:
         self.index = index if index is not None else CdsIndex(graph)
         self.layers = layers
         self.n_classes = n_classes
-        self.assignment: Dict[VirtualNode, int] = {}
+        self._n = self.index.n
+        self._record = array("i", [-1]) * (3 * layers * self._n)
+        self._assigned = 0
         self.classes: List[IndexedClassState] = [
             IndexedClassState(i, self.index) for i in range(n_classes)
         ]
@@ -255,6 +310,11 @@ class VirtualGraph:
             self.real_classes[v] for v in self.index.nodes
         ]
 
+    @property
+    def assignment(self) -> VirtualAssignment:
+        """Read-only ``VirtualNode → class id`` view of the record."""
+        return VirtualAssignment(self)
+
     def assign(self, vnode: VirtualNode, class_id: int) -> None:
         """Put ``vnode`` into class ``class_id`` and update the projection."""
         self.assign_at(
@@ -263,17 +323,36 @@ class VirtualGraph:
 
     def assign_at(self, i: int, layer: int, vtype: int, class_id: int) -> None:
         """Index-side :meth:`assign` (hot path of the recursion)."""
-        vnode = VirtualNode(self.index.nodes[i], layer, vtype)
-        if vnode in self.assignment:
+        n = self._n
+        if not (0 <= i < n and 1 <= layer <= self.layers and 1 <= vtype <= 3):
+            raise GraphValidationError(
+                f"virtual node (index {i}, layer {layer}, type {vtype}) "
+                f"outside {n} nodes x {self.layers} layers x 3 types"
+            )
+        position = ((layer - 1) * 3 + vtype - 1) * n + i
+        if self._record[position] >= 0:
+            vnode = VirtualNode(self.index.nodes[i], layer, vtype)
             raise GraphValidationError(f"virtual node {vnode} already assigned")
         if not 0 <= class_id < self.n_classes:
             raise GraphValidationError(f"class id {class_id} out of range")
-        self.assignment[vnode] = class_id
+        self._record[position] = class_id
+        self._assigned += 1
         self.classes[class_id].add_index(i)
         self.real_classes_at[i].add(class_id)
 
     def class_of(self, vnode: VirtualNode) -> Optional[int]:
-        return self.assignment.get(vnode)
+        """The class of ``vnode``, or ``None`` if it is not assigned."""
+        try:
+            real, layer, vtype = vnode
+            i = self.index.index_of[real]
+            layer = operator.index(layer)
+            vtype = operator.index(vtype)
+        except (TypeError, ValueError, KeyError):
+            return None
+        if not (1 <= layer <= self.layers and 1 <= vtype <= 3):
+            return None
+        class_id = self._record[((layer - 1) * 3 + vtype - 1) * self._n + i]
+        return class_id if class_id >= 0 else None
 
     def excess_components(self) -> int:
         """M_ℓ = Σ_i max(0, N_i − 1) over all classes (Section 3.1)."""

@@ -28,8 +28,10 @@ scan:
   spanning packings without a :mod:`networkx` flow network.
 
 Trees and edge subsets are plain ``list``/``frozenset`` of edge
-indices; :meth:`IndexedGraph.tree_graph` rebuilds a labeled
-:class:`networkx.Graph` when a packing result crosses the public API.
+indices; packings keep their trees as flat endpoint-pair arrays over
+the index's node list (:class:`repro.core.tree_packing.WeightedTree`),
+and :meth:`IndexedGraph.tree_graph` rebuilds a labeled
+:class:`networkx.Graph` from edge indices where one is wanted.
 """
 
 from repro.fastgraph.indexed import IndexedGraph

@@ -17,14 +17,20 @@ dict-of-dict flow network is ever built:
 * a vertex adjacent to all others puts the diameter at most 2, where
   ``λ = δ`` (Plesník), so no flow runs at all.
 
+``D`` is a max-coverage greedy dominating set rather than networkx's
+greedy in index order: on index-local families (hypercubes, tori,
+Harary graphs) it has about half the members, and each member past the
+first costs one flow.
+
 Self-loops cross no cut: they count toward neither a degree nor a flow.
-(``networkx`` counts a loop twice in the degree, so on a graph with loops
-whose loop-free minimum degree equals ``λ`` it can report more than
-``λ``; this kernel agrees with it on the loop-stripped graph.)
+(``networkx`` counts a loop twice in the degree, so
+:func:`repro.graphs.connectivity.edge_connectivity` strips loops before
+calling it.)
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import List
 
 from repro.fastgraph.indexed import IndexedGraph
@@ -53,20 +59,47 @@ def edge_connectivity(graph: IndexedGraph) -> int:
     if max(degree) == n - 1:
         return best
 
-    # Greedy dominating set in index order; no vertex is universal, so
-    # it has at least two members.
-    dominated = [False] * n
-    dominating: List[int] = []
-    for x in range(n):
-        if not dominated[x]:
-            dominating.append(x)
-            dominated[x] = True
-            for e in out[x]:
-                dominated[head[e]] = True
+    # No vertex is universal, so the dominating set has at least two
+    # members; each member past the first costs one flow.
+    dominating = _dominating_set(out, head)
     source = dominating[0]
     for sink in dominating[1:]:
         best = min(best, _local_flow(out, head, source, sink, best))
     return best
+
+
+def _dominating_set(out: List[List[int]], head: List[int]) -> List[int]:
+    """Max-coverage greedy dominating set.
+
+    Repeatedly takes the vertex whose closed neighborhood holds the most
+    undominated vertices (lowest index on ties). Gains only shrink, so a
+    heap of stale gains is re-checked lazily: a popped vertex whose gain
+    is still current is a true maximum.
+    """
+    n = len(out)
+    dominated = bytearray(n)
+    heap = [(-1 - len(out[x]), x) for x in range(n)]
+    heapify(heap)
+    dominating: List[int] = []
+    left = n
+    while left:
+        stale, x = heappop(heap)
+        gain = (not dominated[x]) + sum(
+            1 for e in out[x] if not dominated[head[e]]
+        )
+        if gain != -stale:
+            heappush(heap, (-gain, x))
+            continue
+        dominating.append(x)
+        if not dominated[x]:
+            dominated[x] = 1
+            left -= 1
+        for e in out[x]:
+            y = head[e]
+            if not dominated[y]:
+                dominated[y] = 1
+                left -= 1
+    return dominating
 
 
 def _local_flow(

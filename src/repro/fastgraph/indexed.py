@@ -10,6 +10,7 @@ networkx results bit-for-bit (see :mod:`repro.fastgraph.kruskal`).
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple
@@ -212,6 +213,18 @@ class IndexedGraph:
     def edge_frozenset(self, i: int) -> Edge:
         """Edge ``i`` as the ``frozenset``-of-labels key of the legacy API."""
         return frozenset((self.nodes[self.u[i]], self.nodes[self.v[i]]))
+
+    def endpoint_pairs(self, edge_ids: Iterable[int]) -> "array[int]":
+        """Flat ``[u, v, u, v, ...]`` endpoint indices of these edges, in
+        the given order (the compact tree form of
+        :class:`repro.core.tree_packing.WeightedTree`)."""
+        pairs = array("i")
+        u = self.u
+        v = self.v
+        for i in edge_ids:
+            pairs.append(u[i])
+            pairs.append(v[i])
+        return pairs
 
     def edges_to_node_sets(self, edge_ids: Iterable[int]) -> FrozenSet[Edge]:
         """Edge-index set → the legacy ``frozenset``-of-``frozenset`` form."""

@@ -30,11 +30,32 @@ def _require_graph(graph: nx.Graph) -> None:
         raise GraphValidationError("graph must be non-empty")
 
 
+def _without_loops(graph: nx.Graph) -> nx.Graph:
+    """``graph`` itself, or a copy without its self-loops.
+
+    A loop crosses no cut, but networkx counts it toward the degree its
+    connectivity algorithms start from, and an edge count that includes
+    loops can make a non-complete graph look complete.
+    """
+    loops = list(nx.selfloop_edges(graph))
+    if not loops:
+        return graph
+    stripped = graph.copy()
+    stripped.remove_edges_from(loops)
+    return stripped
+
+
+def _is_complete(graph: nx.Graph) -> bool:
+    """Whether a loop-free ``graph`` is complete."""
+    n = graph.number_of_nodes()
+    return graph.number_of_edges() == n * (n - 1) // 2
+
+
 def vertex_connectivity(graph: nx.Graph) -> int:
     """Exact vertex connectivity ``k`` of ``graph``.
 
     By convention, the complete graph K_n has connectivity ``n - 1`` and a
-    disconnected graph has connectivity 0.
+    disconnected graph has connectivity 0. Self-loops are ignored.
     """
     _require_graph(graph)
     n = graph.number_of_nodes()
@@ -42,30 +63,32 @@ def vertex_connectivity(graph: nx.Graph) -> int:
         return 0
     if not nx.is_connected(graph):
         return 0
-    if graph.number_of_edges() == n * (n - 1) // 2:
+    graph = _without_loops(graph)
+    if _is_complete(graph):
         return n - 1
     return nx.node_connectivity(graph)
 
 
 def edge_connectivity(graph: nx.Graph) -> int:
-    """Exact edge connectivity ``λ`` of ``graph`` (0 if disconnected)."""
+    """Exact edge connectivity ``λ`` of ``graph`` (0 if disconnected).
+    Self-loops are ignored."""
     _require_graph(graph)
     if graph.number_of_nodes() == 1:
         return 0
     if not nx.is_connected(graph):
         return 0
-    return nx.edge_connectivity(graph)
+    return nx.edge_connectivity(_without_loops(graph))
 
 
 def min_vertex_cut(graph: nx.Graph) -> Set[Hashable]:
     """A minimum vertex cut of ``graph``.
 
     Raises :class:`GraphValidationError` for complete graphs, which have
-    no vertex cut.
+    no vertex cut. Self-loops are ignored.
     """
     _require_graph(graph)
-    n = graph.number_of_nodes()
-    if graph.number_of_edges() == n * (n - 1) // 2:
+    graph = _without_loops(graph)
+    if _is_complete(graph):
         raise GraphValidationError("complete graphs have no vertex cut")
     return set(nx.minimum_node_cut(graph))
 

@@ -48,6 +48,24 @@ class TestConnectivityValues:
         with pytest.raises(GraphValidationError):
             vertex_connectivity(nx.Graph())
 
+    def test_self_loops_do_not_raise_edge_connectivity(self):
+        # networkx alone reports 3: it counts each loop twice in the
+        # minimum degree it starts from.
+        g = nx.complete_graph(2)
+        g.add_edges_from([(0, 0), (1, 1)])
+        assert edge_connectivity(g) == 1
+        assert vertex_connectivity(g) == 1
+
+    def test_self_loop_does_not_complete_a_graph(self):
+        # K4 minus an edge has 5 edges; one loop brings the count to the
+        # 6 of K4, which the complete-graph shortcut used to read as κ=3.
+        g = nx.complete_graph(4)
+        g.remove_edge(0, 1)
+        g.add_edge(2, 2)
+        assert vertex_connectivity(g) == 2
+        assert edge_connectivity(g) == 2
+        assert min_vertex_cut(g) == {2, 3}
+
 
 class TestCutsAndMenger:
     def test_min_vertex_cut_disconnects(self):
